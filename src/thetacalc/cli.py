@@ -19,26 +19,15 @@ from . import transforms as tra
 from .algebraic import (check_tannery_shape, derivative_table, tannery_ode,
                         verify_ode_numeric)
 from .errors import ExprSyntaxError, ThetaCalcError
-from .exact import Polynomial, Q, RationalFunction, as_q, format_polynomial
-from .expr import (EvalDomainError, eval_bivariate, eval_form, eval_ratfunc,
+from .exact import Q, RationalFunction, _fmt_q, format_polynomial
+from .expr import (eval_bivariate, eval_form, eval_operator, eval_ratfunc,
                    eval_sequence_poly, format_form, parse)
 from .forms import (DifferenceForm, GridFunction, cauchy_partial_fractions,
                     form_apply, form_divrem, form_mul, ruffini_divide)
 
 
-def _q_str(q) -> str:
-    q = as_q(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
-
-
-def _rf_str(r: RationalFunction) -> str:
-    return str(r)
-
-
 def _form_json(F: DifferenceForm):
-    return [_rf_str(c) for c in F.coeffs]
+    return [str(c) for c in F.coeffs]
 
 
 def _emit(args, payload, text_lines):
@@ -117,153 +106,6 @@ def _parse_samples(text: str):
     return out
 
 
-# -- operator mini-language ---------------------------------------------------
-
-def _op_tokenize(text: str):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("num", text[i:j]))
-            i = j
-            continue
-        if ch in "SM":
-            # S(...) / M(...) carry a polynomial argument in the main grammar
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j >= n or text[j] != "(":
-                raise ThetaCalcError("%s needs a parenthesized argument" % ch)
-            depth = 0
-            k = j
-            while k < n:
-                if text[k] == "(":
-                    depth += 1
-                elif text[k] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                k += 1
-            if depth != 0:
-                raise ThetaCalcError("unbalanced parentheses in operator expression")
-            toks.append(("func", (ch, text[j + 1:k])))
-            i = k + 1
-            continue
-        if ch in "TDI":
-            toks.append(("name", ch))
-            i += 1
-            continue
-        if ch == "o":
-            toks.append(("o", "o"))
-            i += 1
-            continue
-        if ch in "+-*/()":
-            toks.append((ch, ch))
-            i += 1
-            continue
-        raise ThetaCalcError("bad operator expression near %r" % text[i:])
-    toks.append(("end", ""))
-    return toks
-
-
-class _OpParser:
-    """Tiny grammar: sums of composition chains; numbers act as M_const."""
-
-    def __init__(self, text: str, N: int):
-        self.toks = _op_tokenize(text)
-        self.pos = 0
-        self.N = N
-        self.text = text
-
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ThetaCalcError("trailing operator input %r" % self.peek()[1])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "o"):
-            self.next()
-            rhs = self.factor()
-            node = node.compose(rhs)
-        return node
-
-    def factor(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.next()
-            return -self.factor()
-        if tok[0] == "num":
-            self.next()
-            num = Fraction(int(tok[1]))
-            if self.peek()[0] == "/":
-                self.next()
-                dtok = self.next()
-                if dtok[0] != "num":
-                    raise ThetaCalcError("bad scalar in operator expression")
-                num = num / int(dtok[1])
-            return ops.TruncatedOperator.identity(self.N).scaled(num)
-        if tok[0] == "name":
-            self.next()
-            name = tok[1]
-            if name == "T":
-                return ops.TruncatedOperator.theta(self.N)
-            if name == "D":
-                return ops.TruncatedOperator.derivative_d(self.N)
-            return ops.TruncatedOperator.identity(self.N)
-        if tok[0] == "func":
-            self.next()
-            name, inner = tok[1]
-            poly = _poly_arg(inner)
-            if name == "S":
-                return ops.TruncatedOperator.substitution(poly, self.N)
-            return ops.TruncatedOperator.multiplication(poly, self.N)
-        if tok[0] == "(":
-            self.next()
-            node = self.expr()
-            if self.peek()[0] != ")":
-                raise ThetaCalcError("unbalanced parentheses in operator expression")
-            self.next()
-            return node
-        raise ThetaCalcError("unexpected token %r in operator expression" % (tok[1],))
-
-
-def _poly_arg(text: str) -> Polynomial:
-    r = eval_ratfunc(parse(text))
-    if not r.is_polynomial():
-        raise ThetaCalcError("operator argument must be polynomial: %s" % text)
-    return r.as_polynomial()
-
-
-def _parse_operator(text: str, N: int) -> ops.TruncatedOperator:
-    return _OpParser(text, N).parse()
-
-
 def _op_dump(A: ops.TruncatedOperator):
     return {
         "label": A.label,
@@ -305,10 +147,10 @@ def _solution_json(s: mono.FormalLocalSolution):
     for (rho, mag, k) in sorted(s.terms, key=lambda key: (float(key[0]),
                                                           float(key[1]), key[2])):
         c = s.terms[(rho, mag, k)]
-        item = {"rho": _q_str(rho), "k": k}
-        item["mag"] = _q_str(mag) if isinstance(mag, Fraction) else float(mag)
+        item = {"rho": _fmt_q(rho), "k": k}
+        item["mag"] = _fmt_q(mag) if isinstance(mag, Fraction) else float(mag)
         if isinstance(c, Fraction):
-            item["coeff"] = _q_str(c)
+            item["coeff"] = _fmt_q(c)
         else:
             item["coeff"] = [c.real, c.imag]
         out.append(item)
@@ -320,7 +162,7 @@ def _report_json(rep: dep.DependenceReport):
         "window": list(rep.window),
         "rank": rep.rank,
         "case": rep.case,
-        "relations": [[_q_str(v) for v in rel] for rel in rep.relations],
+        "relations": [[_fmt_q(v) for v in rel] for rel in rep.relations],
     }
 
 
@@ -349,7 +191,7 @@ def _cmd_ruffini(args):
     g = eval_ratfunc(parse(args.gamma))
     Qf, r = ruffini_divide(A, g)
     _emit(args,
-          {"quotient": _form_json(Qf), "remainder": _rf_str(r)},
+          {"quotient": _form_json(Qf), "remainder": str(r)},
           ["quotient: %s" % format_form(Qf), "remainder: %s" % r])
     return 0
 
@@ -362,7 +204,7 @@ def _cmd_apply(args):
     order = int(F.order) if not F.is_zero() else 0
     g = GridFunction.sample(lambda t: p.eval(t), args.at, order + 1)
     v = form_apply(F, g, args.at)
-    _emit(args, {"value": _q_str(v)}, [_q_str(v)])
+    _emit(args, {"value": _fmt_q(v)}, [_fmt_q(v)])
     return 0
 
 
@@ -372,7 +214,7 @@ def _cmd_casoratian(args):
     args._window_hi = args.at + n - 1
     seqs = _sequences(args)
     v = dep.casoratian(seqs, args.at)
-    _emit(args, {"value": _q_str(v)}, [_q_str(v)])
+    _emit(args, {"value": _fmt_q(v)}, [_fmt_q(v)])
     return 0
 
 
@@ -386,7 +228,7 @@ def _cmd_dependence(args):
     lines = ["case: %s  rank: %d  window: [%d, %d)" % (rep.case, rep.rank,
                                                        rep.window[0], rep.window[1])]
     for rel in rep.relations:
-        lines.append("relation: " + " ".join(_q_str(v) for v in rel))
+        lines.append("relation: " + " ".join(_fmt_q(v) for v in rel))
     _emit(args, payload, lines)
     return 0
 
@@ -427,12 +269,12 @@ def _cmd_local_structure(args):
     lines = []
     for b in st.blocks:
         lam = b.eigenvalue
-        lam_out = _q_str(lam) if isinstance(lam, Fraction) else [lam.real, lam.imag]
-        mag_out = _q_str(b.mag) if isinstance(b.mag, Fraction) else float(b.mag)
-        payload.append({"eigenvalue": lam_out, "rho": _q_str(b.rho),
+        lam_out = _fmt_q(lam) if isinstance(lam, Fraction) else [lam.real, lam.imag]
+        mag_out = _fmt_q(b.mag) if isinstance(b.mag, Fraction) else float(b.mag)
+        payload.append({"eigenvalue": lam_out, "rho": _fmt_q(b.rho),
                         "mag": mag_out, "jordan_sizes": list(b.jordan_sizes)})
         lines.append("lambda=%s rho=%s blocks=%s"
-                     % (lam_out, _q_str(b.rho), list(b.jordan_sizes)))
+                     % (lam_out, _fmt_q(b.rho), list(b.jordan_sizes)))
     _emit(args, payload, lines)
     return 0
 
@@ -442,7 +284,7 @@ def _cmd_canonical_system(args):
     sols, action = mono.canonical_system_with_action(spec)
     payload = {
         "solutions": [_solution_json(s) for s in sols],
-        "action": [[_q_str(v) if isinstance(v, Fraction) else [complex(v).real,
+        "action": [[_fmt_q(v) if isinstance(v, Fraction) else [complex(v).real,
                                                                complex(v).imag]
                     for v in row] for row in action],
     }
@@ -492,7 +334,7 @@ def _cmd_transform_inverse(args):
     if op is None:
         _emit(args, {"operator": None}, ["no preimage"])
         return 0
-    entries = [[lam, r, _q_str(a)] for (lam, r), a in sorted(op.coeffs.items())]
+    entries = [[lam, r, _fmt_q(a)] for (lam, r), a in sorted(op.coeffs.items())]
     _emit(args, {"operator": {"terms": entries}},
           ["term y^%d phi^(%d): %s" % (lam, r, c) for lam, r, c in entries])
     return 0
@@ -501,7 +343,7 @@ def _cmd_transform_inverse(args):
 def _cmd_tannery(args):
     f = eval_bivariate(parse(args.f))
     ode = tannery_ode(f, minimal=not args.full_order)
-    payload = {"order": ode.order, "coeffs": [_rf_str(c) for c in ode.coeffs]}
+    payload = {"order": ode.order, "coeffs": [str(c) for c in ode.coeffs]}
     _emit(args, payload, [json.dumps(payload, sort_keys=True)])
     return 0
 
@@ -511,10 +353,10 @@ def _cmd_tannery_shape(args):
     table = derivative_table(f, f.deg_y)
     ode = tannery_ode(f)
     ok = check_tannery_shape(ode, table.phi)
-    payload = {"phi": _rf_str(table.phi), "order": ode.order,
-               "coeffs": [_rf_str(c) for c in ode.coeffs],
+    payload = {"phi": str(table.phi), "order": ode.order,
+               "coeffs": [str(c) for c in ode.coeffs],
                "shape_ok": ok,
-               "leading": _rf_str(ode.coeffs[-1])}
+               "leading": str(ode.coeffs[-1])}
     _emit(args, payload,
           ["phi: %s" % table.phi, "ode coeffs: %s" % payload["coeffs"],
            "shape_ok: %s" % ok])
@@ -532,7 +374,7 @@ def _cmd_verify_numeric(args):
 
 
 def _cmd_funcder(args):
-    A = _parse_operator(args.op, args.trunc)
+    A = eval_operator(parse(args.op), args.trunc)
     Ap = A.functional_derivative()
     _emit(args, _op_dump(Ap),
           ["valid_degree: %d" % Ap.valid_degree]
@@ -542,7 +384,7 @@ def _cmd_funcder(args):
 
 
 def _cmd_mult_check(args):
-    A = _parse_operator(args.op, args.trunc)
+    A = eval_operator(parse(args.op), args.trunc)
     alpha = eval_ratfunc(parse(args.alpha))
     xi = eval_ratfunc(parse(args.xi))
     pairs = []
@@ -559,10 +401,10 @@ def _cmd_mult_check(args):
 
 
 def _cmd_classify(args):
-    A = _parse_operator(args.op, args.trunc)
+    A = eval_operator(parse(args.op), args.trunc)
     spec = ops.classify_mult_operator(A)
-    payload = {"kind": spec.kind, "alpha": _rf_str(spec.alpha),
-               "xi": _rf_str(spec.xi), "xi1": _rf_str(spec.xi1),
+    payload = {"kind": spec.kind, "alpha": str(spec.alpha),
+               "xi": str(spec.xi), "xi1": str(spec.xi1),
                "mu": format_polynomial(spec.mu, "x") if spec.mu is not None else None}
     _emit(args, payload, ["%s: alpha=%s xi=%s mu=%s"
                           % (spec.kind, spec.alpha, spec.xi, payload["mu"])])
@@ -570,7 +412,7 @@ def _cmd_classify(args):
 
 
 def _cmd_grevy(args):
-    operators = [_parse_operator(t, args.trunc) for t in args.op]
+    operators = [eval_operator(parse(t), args.trunc) for t in args.op]
     G = ops.grevy_determinant(operators)
     payload = {"zero_on_reliable": G.is_zero_on_reliable(),
                "valid_degree": G.valid_degree}
@@ -603,8 +445,8 @@ def _cmd_cauchy_pf(args):
     if not r.is_polynomial():
         raise ThetaCalcError("need a polynomial")
     blocks = cauchy_partial_fractions(r.as_polynomial())
-    payload = [{"root": _q_str(b.root), "multiplicity": b.multiplicity,
-                "residues": [_q_str(v) for v in b.residues]} for b in blocks]
+    payload = [{"root": _fmt_q(b.root), "multiplicity": b.multiplicity,
+                "residues": [_fmt_q(v) for v in b.residues]} for b in blocks]
     _emit(args, payload,
           ["root %s (m=%d): %s" % (p["root"], p["multiplicity"],
                                    " ".join(p["residues"])) for p in payload])
@@ -818,7 +660,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ExprSyntaxError as exc:
         sys.stderr.write("syntax error: %s\n" % exc)
         return 1
-    except (ThetaCalcError, EvalDomainError) as exc:
+    except ThetaCalcError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     except (ValueError, json.JSONDecodeError) as exc:

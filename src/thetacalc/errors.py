@@ -73,6 +73,10 @@ class SampleAtSingularity(ThetaCalcError):
     """A numeric sample point hits a singularity of the problem."""
 
 
+class EvalDomainError(ThetaCalcError):
+    """Expression is grammatical but meaningless in the requested context."""
+
+
 class ExprSyntaxError(ThetaCalcError):
     """Parse failure, carrying the byte offset and the expected-token set."""
 

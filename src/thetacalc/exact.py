@@ -527,27 +527,6 @@ def _as_rf(v):
     return NotImplemented
 
 
-def ratfunc_arith(a: RationalFunction, b: RationalFunction, op: str) -> RationalFunction:
-    """Named dispatch kept for the CLI; identical to the operators."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("unknown op %r" % (op,))
-
-
-def ratfunc_eval(a: RationalFunction, x0) -> Fraction:
-    return a.eval(x0)
-
-
-def poly_shift(p: Polynomial, k) -> Polynomial:
-    return p.shift(k)
-
-
 class BivariatePolynomial:
     """Polynomial in y with RationalFunction-in-x coefficients.
 

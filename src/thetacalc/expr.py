@@ -2,32 +2,35 @@
 
 Grammar (byte offsets reported on error):
     expr   := term (("+"|"-") term)*
-    term   := factor (("*"|"/") factor)*
+    term   := factor (("*"|"/"|"o") factor)*
     factor := atom ("^" uint)? | "-" factor
-    atom   := number | "x" | "y" | "t" | "T" | "(" expr ")"
+    atom   := number | "x" | "y" | "t" | "T" | "D" | "I"
+            | ("S"|"M") "(" expr ")" | "(" expr ")"
 
 The same AST evaluates into a rational function (variable x), a difference
 form (x and the operator symbol T, normalized through the noncommutative
-product), a bivariate polynomial (x and y), or a polynomial in t for grid
-sequences.
+product), a bivariate polynomial (x and y), a polynomial in t for grid
+sequences, or a truncated operator: T (shift), D (derivative), I
+(identity), S(mu) (substitution phi(x) -> phi(mu(x))) and M(g)
+(multiplication) for polynomial arguments, numbers and p/q literals as
+multiples of I, with "*" and "o" both composing.  Names outside a context
+(D in a form, o in a rational function) are domain errors, not syntax
+errors.
 """
 from __future__ import annotations
 
 from typing import List, Tuple
 
-from .errors import ExprSyntaxError, ThetaCalcError
+from .errors import EvalDomainError, ExprSyntaxError
 from .exact import (BivariatePolynomial, Polynomial, Q, RationalFunction,
                     format_polynomial, _fmt_q)
 from .forms import DifferenceForm
-
-
-class EvalDomainError(ThetaCalcError):
-    """Expression is grammatical but meaningless in the requested context."""
+from .operators import TruncatedOperator
 
 
 # -- tokenizer ---------------------------------------------------------------
 
-_SYMBOLS = "+-*/^()"
+_SYMBOLS = "+-*/^()o"
 
 
 def tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -46,8 +49,12 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
             out.append(("num", text[i:j], i))
             i = j
             continue
-        if ch in "xytT":
+        if ch in "xytTDI":
             out.append(("var", ch, i))
+            i += 1
+            continue
+        if ch in "SM":
+            out.append(("func", ch, i))
             i += 1
             continue
         if ch in _SYMBOLS:
@@ -58,6 +65,9 @@ def tokenize(text: str) -> List[Tuple[str, str, int]]:
                               expected=("number", "variable", "operator"))
     out.append(("end", "", n))
     return out
+
+
+_TERM_OPS = {"*": "mul", "/": "div", "o": "compose"}
 
 
 class Parser:
@@ -99,10 +109,10 @@ class Parser:
 
     def term(self):
         node = self.factor()
-        while self.peek()[0] in ("*", "/"):
+        while self.peek()[0] in _TERM_OPS:
             op = self.advance()[0]
             rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
+            node = (_TERM_OPS[op], node, rhs)
         return node
 
     def factor(self):
@@ -129,13 +139,20 @@ class Parser:
         if tok[0] == "var":
             self.advance()
             return ("var", tok[1])
+        if tok[0] == "func":
+            self.advance()
+            self.expect("(")
+            node = ("call", tok[1], self.expr())
+            self.expect(")")
+            return node
         if tok[0] == "(":
             self.advance()
             node = self.expr()
             self.expect(")")
             return node
         raise ExprSyntaxError("unexpected %r" % (tok[1] or "end of input"), tok[2],
-                              expected=("number", "x", "y", "t", "T", "("))
+                              expected=("number", "x", "y", "t", "T", "D", "I",
+                                        "S", "M", "("))
 
 
 def parse(text: str):
@@ -144,6 +161,12 @@ def parse(text: str):
 
 
 # -- evaluators ---------------------------------------------------------------
+
+def _not_allowed(ast, where: str) -> EvalDomainError:
+    """Domain error for an operator-only node (o, S(...), M(...))."""
+    name = ast[1] if ast[0] == "call" else "o"
+    return EvalDomainError("operator %r not allowed %s" % (name, where))
+
 
 def eval_ratfunc(ast, var: str = "x") -> RationalFunction:
     """Evaluate with a single scalar variable; other symbols are rejected."""
@@ -167,7 +190,7 @@ def eval_ratfunc(ast, var: str = "x") -> RationalFunction:
         return eval_ratfunc(ast[1], var) / eval_ratfunc(ast[2], var)
     if kind == "pow":
         return eval_ratfunc(ast[1], var) ** ast[2]
-    raise AssertionError(kind)
+    raise _not_allowed(ast, "here")
 
 
 def eval_form(ast) -> DifferenceForm:
@@ -199,7 +222,7 @@ def eval_form(ast) -> DifferenceForm:
         return eval_form(ast[1]) * inv
     if kind == "pow":
         return eval_form(ast[1]) ** ast[2]
-    raise AssertionError(kind)
+    raise _not_allowed(ast, "in a form")
 
 
 def eval_bivariate(ast) -> BivariatePolynomial:
@@ -231,7 +254,7 @@ def eval_bivariate(ast) -> BivariatePolynomial:
         return eval_bivariate(ast[1]).scale(d.coeff(0).inverse())
     if kind == "pow":
         return eval_bivariate(ast[1]) ** ast[2]
-    raise AssertionError(kind)
+    raise _not_allowed(ast, "in a bivariate polynomial")
 
 
 def eval_sequence_poly(ast) -> Polynomial:
@@ -242,11 +265,55 @@ def eval_sequence_poly(ast) -> Polynomial:
     return r.as_polynomial()
 
 
+_OPERATOR_ATOMS = {"T": "theta", "D": "derivative_d", "I": "identity"}
+
+
+def eval_operator(ast, N: int) -> TruncatedOperator:
+    """Evaluate to an operator on polynomials of degree <= N; in "A o B" and
+    "A * B" the right operand acts first."""
+    kind = ast[0]
+    if kind == "num":
+        return TruncatedOperator.identity(N).scaled(ast[1])
+    if kind == "var":
+        if ast[1] not in _OPERATOR_ATOMS:
+            raise EvalDomainError("variable %r not allowed in an operator" % ast[1])
+        return getattr(TruncatedOperator, _OPERATOR_ATOMS[ast[1]])(N)
+    if kind == "call":
+        r = eval_ratfunc(ast[2])
+        if not r.is_polynomial():
+            raise EvalDomainError("operator argument must be polynomial: %s" % r)
+        if ast[1] == "S":
+            return TruncatedOperator.substitution(r.as_polynomial(), N)
+        return TruncatedOperator.multiplication(r.as_polynomial(), N)
+    if kind == "neg":
+        return -eval_operator(ast[1], N)
+    if kind == "add":
+        return eval_operator(ast[1], N) + eval_operator(ast[2], N)
+    if kind == "sub":
+        return eval_operator(ast[1], N) - eval_operator(ast[2], N)
+    if kind in ("mul", "compose"):
+        return eval_operator(ast[1], N).compose(eval_operator(ast[2], N))
+    if kind == "div":
+        return eval_operator(_scalar_literal(ast[1], ast[2]), N)
+    raise EvalDomainError("powers are not allowed in an operator")
+
+
+def _scalar_literal(node, den):
+    """Fold a division into the p/q literal it ends: "T o 2/3" parses as
+    div(compose(T, 2), 3) and means compose(T, 2/3)."""
+    if den[0] == "num":
+        if node[0] == "num":
+            if den[1] == 0:
+                raise EvalDomainError("division by zero")
+            return ("num", node[1] / den[1])
+        if node[0] in ("mul", "compose"):
+            return (node[0], node[1], _scalar_literal(node[2], den))
+        if node[0] == "neg":
+            return ("neg", _scalar_literal(node[1], den))
+    raise EvalDomainError("an operator can only be divided as a p/q literal")
+
+
 # -- canonical printing ---------------------------------------------------------
-
-def format_ratfunc(r: RationalFunction) -> str:
-    return str(r)
-
 
 def _coeff_pieces(c: RationalFunction):
     """(sign, body) for embedding a coefficient before *T^k."""

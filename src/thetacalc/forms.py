@@ -186,16 +186,6 @@ class DifferenceForm:
         from .expr import format_form
         return format_form(self)
 
-    # ----------------------------------------------------------- operations
-    def apply(self, f: GridFunction, t: int) -> Fraction:
-        return form_apply(self, f, t)
-
-    def divrem(self, other: "DifferenceForm"):
-        return form_divrem(self, other)
-
-    def divides(self, other: "DifferenceForm") -> bool:
-        return form_divides(self, other)
-
 
 def _as_form(v):
     if isinstance(v, DifferenceForm):

@@ -159,22 +159,3 @@ def mat_sub(a, b):
 
 def mat_scale(a, c):
     return [[c * v for v in row] for row in a]
-
-
-def mat_pow(a, k):
-    n = len(a)
-    result = mat_identity(n, _field_one(a))
-    base = [list(r) for r in a]
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
-def _field_one(a):
-    v = a[0][0]
-    if isinstance(v, Fraction):
-        return Fraction(1)
-    return type(v).one()

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from .errors import (CandidateNotARoot, NotASolution, NotClassifiable,
                      TruncationTooSmall)
-from .exact import Polynomial, Q, RationalFunction, as_q
+from .exact import Polynomial, Q, RationalFunction, _as_rf, as_q
 from .forms import DifferenceForm
 
 DEFAULT_TRUNCATION = 16
@@ -248,14 +248,6 @@ def check_multiplication_identity(A: TruncatedOperator, alpha, xi, pairs) -> boo
         if left != right:
             return False
     return True
-
-
-def _as_rf(v):
-    if isinstance(v, RationalFunction):
-        return v
-    if isinstance(v, Polynomial):
-        return RationalFunction(v)
-    return RationalFunction(Polynomial([as_q(v)]))
 
 
 @dataclass(frozen=True)

@@ -190,7 +190,7 @@ def as_theta_form(rel: ShiftedDifferenceRelation):
 
     Returns (form, offset) with offset = max(0, -min shift); the form's
     coefficient of T^(s+offset) is c_s(x + offset), so that
-    form.apply(f, t = x - offset) reproduces sum c_s(x) f(x+s).
+    form_apply(form, f, t = x - offset) reproduces sum c_s(x) f(x+s).
     """
     if rel.is_zero():
         return DifferenceForm.zero(), 0

@@ -9,11 +9,13 @@ from fractions import Fraction as Q
 import pytest
 
 from thetacalc.cli import main
-from thetacalc.errors import ExprSyntaxError
+from thetacalc.errors import EvalDomainError, ExprSyntaxError, ThetaCalcError
 from thetacalc.exact import Polynomial, RationalFunction
-from thetacalc.expr import (eval_bivariate, eval_form, eval_ratfunc,
-                            eval_sequence_poly, format_form, parse)
+from thetacalc.expr import (eval_bivariate, eval_form, eval_operator,
+                            eval_ratfunc, eval_sequence_poly, format_form,
+                            parse)
 from thetacalc.forms import DifferenceForm
+from thetacalc.operators import TruncatedOperator
 
 from conftest import rand_form, rand_ratfunc
 
@@ -66,6 +68,77 @@ class TestParser:
         assert p == Polynomial([1, -3, 1])
 
 
+class TestOperatorGrammar:
+    N = 6
+
+    def same(self, A, B):
+        assert (A.label, A.valid_degree, A.matrix) == (B.label, B.valid_degree, B.matrix)
+
+    def test_atoms(self):
+        Op = TruncatedOperator
+        self.same(eval_operator(parse("T"), self.N), Op.theta(self.N))
+        self.same(eval_operator(parse("D"), self.N), Op.derivative_d(self.N))
+        self.same(eval_operator(parse("I"), self.N), Op.identity(self.N))
+        self.same(eval_operator(parse("S (x + 1)"), self.N),
+                  Op.substitution(x + 1, self.N))
+        self.same(eval_operator(parse("M(x^2)"), self.N),
+                  Op.multiplication(x * x, self.N))
+
+    def test_composition_order_and_labels(self):
+        Op = TruncatedOperator
+        T, D = Op.theta(self.N), Op.derivative_d(self.N)
+        two = Op.identity(self.N).scaled(2)
+        self.same(eval_operator(parse("-T o D"), self.N), (-T).compose(D))
+        self.same(eval_operator(parse("2*D + T"), self.N), two.compose(D) + T)
+        self.same(eval_operator(parse("T - D"), self.N), T - D)
+
+    @pytest.mark.parametrize("text, negate, label", [
+        ("T o 2/3", False, "(T o 2/3*I)"),
+        ("T * 4/6", False, "(T o 2/3*I)"),
+        ("T o -2/3", True, "(T o -1*2/3*I)")])
+    def test_rational_literal_after_composition(self, text, negate, label):
+        lit = TruncatedOperator.identity(self.N).scaled(Q(2, 3))
+        A = eval_operator(parse(text), self.N)
+        self.same(A, TruncatedOperator.theta(self.N).compose(-lit if negate else lit))
+        assert A.label == label
+
+    @pytest.mark.parametrize("text", ["x", "1/0", "T/3", "2/T", "T^2", "M(1/x)", "S(T)"])
+    def test_domain_errors(self, text):
+        with pytest.raises(EvalDomainError):
+            eval_operator(parse(text), self.N)
+
+    def test_argument_offsets_are_absolute(self):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse("T o M(x +* 2)")
+        assert exc.value.offset == 9
+
+    @pytest.mark.parametrize("evaluate", [eval_form, eval_ratfunc, eval_bivariate,
+                                          eval_sequence_poly])
+    @pytest.mark.parametrize("text", ["S(x)", "M(1)", "T o T", "D", "I"])
+    def test_operator_names_are_domain_errors_elsewhere(self, evaluate, text):
+        with pytest.raises(EvalDomainError):
+            evaluate(parse(text))
+
+    @pytest.mark.parametrize("op, message", [
+        ("1/0", "error: division by zero"),
+        ("x", "error: variable 'x' not allowed in an operator"),
+        ("S x", "syntax error: unexpected 'x' at offset 2"),
+        ("M(x", "syntax error: unexpected 'end of input' at offset 3"),
+        ("T +", "syntax error: unexpected 'end of input' at offset 3"),
+        ("T S(x)", "syntax error: trailing input 'S' at offset 2"),
+    ])
+    def test_cli_operator_errors_exit_1(self, op, message):
+        code, out, err = run_cli("funcder", "--op", op)
+        assert (code, out) == (1, "")
+        assert err.startswith(message), err
+        assert "Traceback" not in err
+
+    def test_cli_parse_rejects_operator_in_form(self):
+        code, _, err = run_cli("parse", "--context", "form", "S(x)")
+        assert code == 1
+        assert err == "error: operator 'S' not allowed in a form\n"
+
+
 class TestParserFuzz:
     def test_garbage_never_escapes_syntax_errors(self):
         rng = random.Random(73)
@@ -77,6 +150,17 @@ class TestParserFuzz:
                 parse(text)
             except ExprSyntaxError:
                 pass  # the only acceptable failure mode
+
+    def test_operator_garbage_raises_only_library_errors(self):
+        rng = random.Random(74)
+        pieces = ["T", "D", "I", "S(x+1)", "M(x^2)", "x", "0", "2", "3", "+", "-",
+                  "*", " o ", "/", "^", "(", ")"]
+        for _ in range(300):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 9)))
+            try:
+                eval_operator(parse(text), 4)
+            except ThetaCalcError:
+                pass
 
 
 class TestPrintParseRoundTrip:
