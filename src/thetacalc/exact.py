@@ -527,6 +527,14 @@ def _as_rf(v):
     return NotImplemented
 
 
+def as_rf(v) -> RationalFunction:
+    """_as_rf for non-dunder callers: TypeError naming any other value."""
+    r = _as_rf(v)
+    if r is NotImplemented:
+        raise TypeError("%r is not a rational function of x" % (v,))
+    return r
+
+
 class BivariatePolynomial:
     """Polynomial in y with RationalFunction-in-x coefficients.
 
@@ -536,12 +544,7 @@ class BivariatePolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = []
-        for c in coeffs:
-            r = _as_rf(c)
-            if r is NotImplemented:
-                raise TypeError("bad bivariate coefficient %r" % (c,))
-            cs.append(r)
+        cs = [as_rf(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -559,7 +562,7 @@ class BivariatePolynomial:
 
     @classmethod
     def from_x(cls, r) -> "BivariatePolynomial":
-        return cls((_as_rf(r),))
+        return cls((r,))
 
     @property
     def deg_y(self) -> int:
@@ -629,7 +632,7 @@ class BivariatePolynomial:
         return result
 
     def scale(self, r) -> "BivariatePolynomial":
-        r = _as_rf(r)
+        r = as_rf(r)
         return BivariatePolynomial([c * r for c in self.coeffs])
 
     def d_dy(self) -> "BivariatePolynomial":
@@ -662,7 +665,7 @@ class BivariatePolynomial:
 
     def eval_y(self, v) -> RationalFunction:
         """Substitute a rational function of x for y."""
-        v = _as_rf(v)
+        v = as_rf(v)
         acc = RationalFunction.zero()
         for c in reversed(self.coeffs):
             acc = acc * v + c

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .errors import (NoExactRoots, OutOfWindow, ZeroDivisor, ZeroPolynomial)
-from .exact import Polynomial, Q, RationalFunction, as_q, _as_rf
+from .exact import Polynomial, Q, RationalFunction, as_q, as_rf, _as_rf
 
 NEG_INF = float("-inf")
 
@@ -62,12 +62,7 @@ class DifferenceForm:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = []
-        for c in coeffs:
-            r = _as_rf(c)
-            if r is NotImplemented:
-                raise TypeError("bad form coefficient %r" % (c,))
-            cs.append(r)
+        cs = [as_rf(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -89,7 +84,7 @@ class DifferenceForm:
 
     @classmethod
     def from_scalar(cls, r):
-        return cls((_as_rf(r),))
+        return cls((r,))
 
     @classmethod
     def from_constant_coeffs(cls, consts):
@@ -253,7 +248,7 @@ def ruffini_divide(A: DifferenceForm, gamma) -> tuple:
     beta_{m-1} = alpha_m, then beta_{k-1} = alpha_k + beta_k * gamma(x+k);
     the remainder is alpha_0 + beta_0 * gamma.
     """
-    gamma = _as_rf(gamma)
+    gamma = as_rf(gamma)
     if A.is_zero():
         return DifferenceForm.zero(), RationalFunction.zero()
     m = A.order

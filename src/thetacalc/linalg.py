@@ -1,7 +1,8 @@
 """Field-generic dense linear algebra.
 
 Works over any exact field whose elements support +, -, *, / and truth
-testing (Fraction, RationalFunction).  All routines copy their input.
+testing (Fraction, RationalFunction).  All routines copy their input;
+``ring_det`` alone needs no division (formal-solution and operator rings).
 """
 from __future__ import annotations
 
@@ -132,6 +133,35 @@ def det(rows):
     if sign < 0:
         result = -result
     return result
+
+
+def ring_det(rows, mul):
+    """sum_j (-1)^j mul(rows[0][j], minor_j) over a ring without division.
+
+    Each minor (on k columns, from the last k rows) is memoised on its column
+    tuple, so n x n costs at most n * 2^(n-1) products, not n!.  Entries need
+    + and unary -; a noncommutative mul(entry, minor) fixes the factor order.
+    """
+    n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
+    memo = {}
+
+    def minor(cols):
+        i = n - len(cols)
+        if len(cols) == 1:
+            return rows[i][cols[0]]
+        if cols not in memo:
+            acc = None
+            for j, c in enumerate(cols):
+                term = mul(rows[i][c], minor(cols[:j] + cols[j + 1:]))
+                if j % 2:
+                    term = -term
+                acc = term if acc is None else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def mat_mul(a, b):

@@ -407,7 +407,7 @@ def _numeric_minpoly(spec: MonodromySpec) -> Polynomial:
                     raise EigenfailNumeric("complex minimal-polynomial coefficient")
                 out.append(Fraction(c.real).limit_denominator(10 ** 9))
             return Polynomial(out + [Q(1)])
-    raise AssertionError("minimal polynomial must exist")
+    raise EigenfailNumeric("no minimal polynomial within tolerance %g" % spec.tolerance)
 
 
 def _vec(rows):
@@ -676,32 +676,17 @@ def theta_determinant(sols, lambdas=None, tol: float = DEFAULT_TOL) -> FormalLoc
 
     A zero result (exactly, or all coefficients below tol) certifies a
     linear relation with theta-invariant coefficients among the inputs.
+    An empty family raises ValueError.
     """
-    n = len(sols)
+    if not sols:
+        raise ValueError("need at least one solution")
     if lambdas is not None:
         for s, lam in zip(sols, lambdas):
             for (rho, mag, _k) in s.terms:
                 if not _lam_close(_term_multiplier(rho, mag), lam, tol):
                     raise InconsistentMultiplier(
                         "solution multiplier disagrees with supplied lambda")
-    rows = []
-    current = list(sols)
-    for _ in range(n):
-        rows.append(list(current))
-        current = [s.theta() for s in current]
-    return _formal_det(rows)
-
-
-def _formal_det(rows) -> FormalLocalSolution:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = FormalLocalSolution.zero()
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_exact_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entry * _formal_det(minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    rows = [list(sols)]
+    while len(rows) < len(sols):
+        rows.append([s.theta() for s in rows[-1]])
+    return linalg.ring_det(rows, FormalLocalSolution.__mul__)

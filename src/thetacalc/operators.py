@@ -15,8 +15,9 @@ from typing import List, Optional, Sequence
 
 from .errors import (CandidateNotARoot, NotASolution, NotClassifiable,
                      TruncationTooSmall)
-from .exact import Polynomial, Q, RationalFunction, _as_rf, as_q
+from .exact import Polynomial, Q, RationalFunction, as_q, as_rf
 from .forms import DifferenceForm
+from .linalg import ring_det
 
 DEFAULT_TRUNCATION = 16
 
@@ -231,8 +232,8 @@ def check_multiplication_identity(A: TruncatedOperator, alpha, xi, pairs) -> boo
     A(uv) = xi(alpha*xi - 1) uv + (1 - alpha*xi)(u A(v) + v A(u)) + alpha A(u) A(v)
     for each (u, v) pair of polynomials inside the reliable block.
     """
-    alpha = _as_rf(alpha)
-    xi = _as_rf(xi)
+    alpha = as_rf(alpha)
+    xi = as_rf(xi)
     for u, v in pairs:
         prod = u * v
         if prod.degree > A.valid_degree or max(u.degree, v.degree) > A.valid_degree:
@@ -326,45 +327,22 @@ def substitution_like(weight: Polynomial, mu: Polynomial, xi: Polynomial,
 def grevy_determinant(ops: Sequence[TruncatedOperator]) -> TruncatedOperator:
     """Operator determinant of [ops_j^(i)], i = 0..n-1.
 
-    Expanded as the permutation sum with factors composed in ascending row
-    order (the row-0 factor outermost, the row-(n-1) factor applied first).
-    Vanishing of every reliable column certifies linear dependence of the
-    family in the symbolic-ODE sense.
+    Each permutation term is ((t_0 o t_1) o ...) o t_(n-1), row 0 outermost:
+    ring_det gets the rows reversed, which multiplies the determinant by
+    (-1)^(n(n-1)/2).  Vanishing of every reliable column certifies linear
+    dependence of the family in the symbolic-ODE sense.
     """
     n = len(ops)
     if n == 0:
         raise ValueError("need at least one operator")
-    N = ops[0].N
-    table = []
-    for i in range(n):
-        table.append([op.derivative_iterate(i) for op in ops])
-    from itertools import permutations
-    acc = None
-    for perm in permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = table[0][perm[0]]
-        for i in range(1, n):
-            prod = prod.compose(table[i][perm[i]])
-        term = prod if sign > 0 else -prod
-        acc = term if acc is None else acc + term
-    return acc
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    table = [[op.derivative_iterate(i) for op in ops] for i in range(n)]
+    try:
+        det = ring_det(table[::-1], lambda entry, minor: minor.compose(entry))
+    except TruncationTooSmall:
+        raise TruncationTooSmall(
+            "operator determinant of %d operators leaves no valid input degree "
+            "at N=%d" % (n, ops[0].N)) from None
+    return -det if n * (n - 1) // 2 % 2 else det
 
 
 @dataclass(frozen=True)
@@ -387,7 +365,7 @@ def nsymb_solution_check(lambdas: Sequence[RationalFunction],
     substituted and the operator combination must vanish on the reliable
     block, after clearing the lambda denominators.
     """
-    lambdas = [_as_rf(v) for v in lambdas]
+    lambdas = [as_rf(v) for v in lambdas]
     n = len(lambdas) - 1
     if n < 1:
         raise ValueError("need order >= 1")

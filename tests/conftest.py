@@ -1,6 +1,8 @@
 """Shared randomized-input helpers (all deterministic via explicit seeds)."""
+import operator
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -53,6 +55,41 @@ def rand_bivariate(rng, deg_y=2, deg_x=2, height=5):
     if rows[-1].is_zero():
         rows[-1] = RationalFunction.one()
     return BivariatePolynomial(rows)
+
+
+def leibniz_det(rows, mul=operator.mul):
+    """Permutation-sum determinant: the O(n!) oracle for linalg.ring_det.
+
+    Each term folds its factors in row order,
+    mul(...mul(rows[0][p0], rows[1][p1])..., rows[n-1][p(n-1)]), so a
+    noncommutative mul sees them in the order the determinant defines.
+    """
+    n = len(rows)
+    acc = None
+    for perm in permutations(range(n)):
+        prod = rows[0][perm[0]]
+        for i in range(1, n):
+            prod = mul(prod, rows[i][perm[i]])
+        term = prod if _perm_sign(perm) > 0 else -prod
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _perm_sign(perm) -> int:
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 @pytest.fixture

@@ -34,8 +34,8 @@ from thetacalc.operators import (TruncatedOperator, check_multiplication_identit
 from thetacalc.transforms import DifferentialOperator, diff_to_difference, \
     difference_to_diff
 
-from conftest import (rand_bivariate, rand_form, rand_matrix, rand_poly,
-                      rand_ratfunc)
+from conftest import (leibniz_det, rand_bivariate, rand_form, rand_matrix,
+                      rand_poly, rand_ratfunc)
 
 x = Polynomial.x()
 rf = RationalFunction
@@ -44,18 +44,6 @@ rf = RationalFunction
 def report(number, name, ok):
     print("ACCEPTANCE %02d %-28s %s" % (number, name, "PASS" if ok else "FAIL"))
     assert ok, "criterion %d (%s) failed" % (number, name)
-
-
-def brute_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Q(0)
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * brute_det(minor)
-        acc += term if j % 2 == 0 else -term
-    return acc
 
 
 def test_01_casoratian_values():
@@ -68,8 +56,8 @@ def test_01_casoratian_values():
     for m in range(-5, 6):
         rows3 = [[f(m + i) for f in seqs3] for i in range(3)]
         rows4 = [[f(m + i) for f in seqs4] for i in range(4)]
-        ok &= casoratian(seqs3, m) == 2 == brute_det(rows3)
-        ok &= casoratian(seqs4, m) == 12 == brute_det(rows4)
+        ok &= casoratian(seqs3, m) == 2 == leibniz_det(rows3)
+        ok &= casoratian(seqs4, m) == 12 == leibniz_det(rows4)
     report(1, "casoratian-values", ok)
 
 

@@ -10,22 +10,11 @@ from thetacalc.dependence import (casoratian, casoratian_zero_implies_relation_c
 from thetacalc.errors import PreconditionViolated
 from thetacalc.forms import GridFunction
 
+from conftest import leibniz_det
+
 
 def seq(fn, base=-10, count=40):
     return GridFunction.sample(fn, base, count)
-
-
-def brute_det(rows):
-    """Cofactor-expansion determinant, independent of the library path."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = Q(0)
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * brute_det(minor)
-        acc += term if j % 2 == 0 else -term
-    return acc
 
 
 def oracle_nullspace(rows, ncols):
@@ -96,7 +85,7 @@ class TestCasoratian:
         seqs = [seq(lambda t: Q(1)), seq(lambda t: Q(t)), seq(lambda t: Q(t * t))]
         for m in range(-5, 6):
             assert casoratian(seqs, m) == 2
-            assert brute_det(christoffel_matrix(seqs, m)) == 2
+            assert leibniz_det(christoffel_matrix(seqs, m)) == 2
 
     def test_proportional(self):
         seqs = [seq(lambda t: Q(2) ** t, base=0),

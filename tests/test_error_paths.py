@@ -1,4 +1,5 @@
 """Documented error conditions across modules."""
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -6,11 +7,15 @@ import pytest
 from thetacalc.dependence import christoffel_analyze
 from thetacalc.errors import (EigenfailNumeric, InsufficientWindow,
                               PoleAtPoint, ZeroPolynomial)
-from thetacalc.exact import Polynomial, RationalFunction
+from thetacalc.exact import BivariatePolynomial, Polynomial, RationalFunction
 from thetacalc.forms import (DifferenceForm, GridFunction,
-                             cauchy_partial_fractions, form_apply)
+                             cauchy_partial_fractions, form_apply,
+                             ruffini_divide)
 from thetacalc.monodromy import (MonodromySpec, companion_difference_equation,
                                  local_structure, minimal_relation)
+from thetacalc.operators import (TruncatedOperator,
+                                 check_multiplication_identity,
+                                 nsymb_solution_check)
 
 x = Polynomial.x()
 
@@ -54,3 +59,20 @@ def test_numeric_companion_snaps_to_rationals():
 def test_cauchy_zero_polynomial():
     with pytest.raises(ZeroPolynomial):
         cauchy_partial_fractions(Polynomial.zero())
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda v: ruffini_divide(DifferenceForm.theta(), v), 0.5),
+    (lambda v: nsymb_solution_check([v, 2], [x]), 1.5),
+    (lambda v: check_multiplication_identity(TruncatedOperator.identity(4),
+                                              v, 0, []), 0.5),
+    (lambda v: BivariatePolynomial.y().scale(v), 0.5),
+    (lambda v: BivariatePolynomial.y().eval_y(v), "x"),
+    (lambda v: DifferenceForm([1, v]), 0.5),
+    (lambda v: BivariatePolynomial([1, v]), "x"),
+], ids=["ruffini_divide", "nsymb_solution_check",
+        "check_multiplication_identity", "bivariate_scale", "eval_y",
+        "DifferenceForm", "BivariatePolynomial"])
+def test_inexact_value_raises_type_error_naming_it(call, bad):
+    with pytest.raises(TypeError, match=re.escape(repr(bad))):
+        call(bad)

@@ -266,6 +266,12 @@ class TestCliContract:
         assert code == 0
         assert out.strip() == "T - 1"
 
+    def test_minimal_numeric_without_a_fit_is_an_error(self):
+        code, out, err = run_cli("--tolerance", "1e-30", "minimal", "--matrix",
+                                 "[[0.5,0.1],[0.2,0.3]]")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_local_structure_numeric(self):
         import math
         c5 = math.cos(2 * math.pi / 5)

@@ -17,7 +17,7 @@ from thetacalc.monodromy import (FormalLocalSolution, MonodromySpec,
                                  minimal_relation, theta_determinant,
                                  theta_on_local)
 
-from conftest import rand_matrix
+from conftest import leibniz_det, rand_matrix
 
 mono = FormalLocalSolution.monomial
 
@@ -290,3 +290,96 @@ class TestThetaDeterminant:
         y3 = mono(rho=Q(0), mag=Q(2))
         det = theta_determinant([y1, y2, y3])
         assert det.max_abs() > 1e-3
+
+
+def _mixed_canonical_system(M, mix):
+    sols = canonical_fundamental_system(M)
+    out = []
+    for row in mix:
+        acc = FormalLocalSolution.zero()
+        for c, s in zip(row, sols):
+            acc = acc + s.scaled(c)
+        out.append(acc)
+    return out
+
+
+# blockdiag(companion of Phi_5, [-1]) and blockdiag(companion of Phi_3,
+# rotation by i), each canonical system mixed by a fixed integer matrix
+_PHI5_AND_MINUS_ONE = [[0, 0, 0, -1, 0], [1, 0, 0, -1, 0], [0, 1, 0, -1, 0],
+                       [0, 0, 1, -1, 0], [0, 0, 0, 0, -1]]
+_MIX5 = [[-2, -2, 2, 0, -2], [-1, 0, -2, 2, 2], [-2, -2, -1, -1, 2],
+         [1, -2, 2, 0, 1], [0, -1, -1, 2, 1]]
+_ROOTS_3_AND_4 = [[0, -1, 0, 0], [1, -1, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]]
+_MIX4 = [[1, 1, 0, 1], [0, 1, 2, 0], [1, 0, 1, -1], [2, 0, 0, 1]]
+# recorded from a cofactor expansion along row 0 without memo; the engine
+# must reproduce every float bit, and the first holds both +0j and -0j
+_GOLDEN_PHI5 = (
+    'FormalLocalSolution(3.944304526105059e-31j*x^(7/5) + '
+    '-3.552713678800501e-15j*x^(3/2) + '
+    '(2.1956978057953865e-15+1.4285924713075355e-15j)*x^(8/5) + '
+    '(-1.401123525337224e-14+1.14702317445334e-14j)*x^(17/10) + '
+    '(-1.936821118200869e-14+6.4635864554753e-14j)*x^(9/5) + '
+    '(1.0928832770465765e-13+5.684341886080802e-14j)*x^(19/10) + '
+    '(2.693490351684999e-14-1.5648077436485135e-13j)*x^(2) + '
+    '(-1.0664751703563182e-13+7.815970093361102e-14j)*x^(21/10) + '
+    '(-1.1368683772161603e-13-2.4158453015843406e-13j)*x^(11/5) + '
+    '(4.440892098500626e-14-1.1368683772161603e-13j)*x^(23/10) + '
+    '(-2.2737367544323206e-13+1.9184653865522705e-13j)*x^(12/5) + '
+    '(1073.3126291998985-1.3642420526593924e-12j)*x^(5/2) + '
+    '(-2.2737367544323206e-13+3.979039320256561e-13j)*x^(13/5) + '
+    '(-1.9184653865522705e-13+1.1368683772161603e-13j)*x^(27/10) + '
+    '(1.1368683772161603e-13-2.1005419625907962e-13j)*x^(14/5) + '
+    '(1.382882651018821e-13+0j)*x^(29/10) + '
+    '(2.5198715666632986e-14+6.778027732285465e-14j)*x^(3) + '
+    '(8.075255059579752e-14-8.526512829121202e-14j)*x^(31/10) + '
+    '(-3.006580282540807e-14-4.440892098500626e-14j)*x^(16/5) + '
+    '(1.5012920195860006e-14-8.007244726956014e-15j)*x^(33/10) + '
+    '(2.816268093650412e-15+5.093823638567199e-15j)*x^(17/5) + '
+    '(-1.986027322597817e-15+1.689415747377072e-15j)*x^(7/2) + '
+    '-3.944304526105059e-31j*x^(18/5) + '
+    '(1.9721522630525295e-31-0j)*x^(19/5))')
+_GOLDEN_ROOTS_3_AND_4 = (
+    'FormalLocalSolution((3.9968028886505635e-15-3.552713678800501e-15j)*x^(19/12) + '
+    '-8.881784197001252e-16j*x^(5/3) + '
+    '(4.440892098500626e-16-2.220446049250313e-16j)*x^(23/12) + '
+    '(-17.320508075688775+1.5987211554602254e-14j)*x^(2) + '
+    '-8.881784197001252e-16j*x^(25/12) + '
+    '(8.881784197001252e-16+4.440892098500626e-16j)*x^(29/12) + '
+    '(-2.220446049250313e-16-1.7763568394002505e-15j)*x^(5/2))')
+
+class TestThetaDeterminantEngine:
+    @pytest.mark.parametrize("M, mix, golden", [
+        (_PHI5_AND_MINUS_ONE, _MIX5, _GOLDEN_PHI5),
+        (_ROOTS_3_AND_4, _MIX4, _GOLDEN_ROOTS_3_AND_4),
+    ], ids=["phi5-and-minus-one", "roots-3-and-4"])
+    def test_complex_coefficients_bit_identical(self, M, mix, golden):
+        det = theta_determinant(_mixed_canonical_system(M, mix))
+        assert repr(det) == golden
+
+    def test_golden_holds_signed_zeros(self):
+        assert "+0j" in _GOLDEN_PHI5 and "-0j" in _GOLDEN_PHI5
+
+    def test_empty_family_raises(self):
+        with pytest.raises(ValueError):
+            theta_determinant([])
+
+    def test_exact_families_match_permutation_sum(self):
+        rng = random.Random(36)
+        for n in range(1, 6):
+            for _ in range(3):
+                sols = []
+                for _ in range(n):
+                    s = FormalLocalSolution.zero()
+                    for _ in range(rng.randint(1, 2)):
+                        s = s + mono(coeff=Q(rng.randint(-3, 3)),
+                                     rho=rng.choice([Q(0), Q(1, 2)]),
+                                     mag=rng.choice([Q(1), Q(2), Q(1, 3)]),
+                                     logpow=rng.randint(0, 2))
+                    sols.append(s)
+                if n > 1 and rng.random() < 0.5:
+                    # theta-invariant coefficients: a planted dependence
+                    sols[-1] = sols[0].scaled(Q(2)) - sols[1] * mono(rho=Q(1))
+                rows = [[s.theta_pow(i) for s in sols] for i in range(n)]
+                det = theta_determinant(sols)
+                assert all(isinstance(c, Q) for c in det.terms.values())
+                assert det == leibniz_det(rows)
