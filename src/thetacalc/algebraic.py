@@ -39,10 +39,6 @@ class DerivativeTable:
         return acc
 
 
-def _reduce_mod(p: BivariatePolynomial, f: BivariatePolynomial) -> BivariatePolynomial:
-    return p.mod_y(f)
-
-
 def _row_of(p: BivariatePolynomial, m: int) -> Tuple[RationalFunction, ...]:
     return tuple(p.coeff(j) for j in range(m))
 
@@ -77,16 +73,16 @@ def derivative_table(f: BivariatePolynomial, K: int) -> DerivativeTable:
     A, B, phi = bezout_in_y(f)
     phi_rf = phi
     # row 0: y itself reduced mod f
-    y_red = _reduce_mod(BivariatePolynomial.y(), f)
+    y_red = BivariatePolynomial.y().mod_y(f)
     # row 1: -f_x * inv(f_y) mod f == -B*f_x/phi mod f
     inv_fy = _y_inverse_mod(f.d_dy(), f)
-    d1 = _reduce_mod(-f.d_dx() * inv_fy, f)
+    d1 = (-f.d_dx() * inv_fy).mod_y(f)
     rows = [_row_of(y_red, m), _row_of(d1, m)]
     exprs = [y_red, d1]
     for _k in range(1, K):
         prev = exprs[-1]
         # d/dx of prev in the quotient ring: x-derivative plus chain rule via d1
-        nxt = _reduce_mod(prev.d_dx() + prev.d_dy() * d1, f)
+        nxt = (prev.d_dx() + prev.d_dy() * d1).mod_y(f)
         exprs.append(nxt)
         rows.append(_row_of(nxt, m))
     return DerivativeTable(m=m, phi=phi_rf, bezout_B=B, rows=tuple(rows[:K + 1]))
@@ -132,17 +128,6 @@ class LinearODE:
         if polys[-1].leading() < 0:
             polys = [-p for p in polys]
         return cls(coeffs=tuple(RationalFunction(p) for p in polys))
-
-    def residual_exact(self, table: DerivativeTable) -> Tuple[RationalFunction, ...]:
-        """Coordinates of sum c_k y^(k) in the table's basis (all zero iff
-        every root of f satisfies the ODE)."""
-        m = table.m
-        acc = [RationalFunction.zero()] * m
-        for k, c in enumerate(self.coeffs):
-            row = table.rows[k]
-            for j in range(m):
-                acc[j] = acc[j] + c * row[j]
-        return tuple(acc)
 
     def __str__(self):
         bits = []

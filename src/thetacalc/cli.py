@@ -499,9 +499,13 @@ def _cmd_selftest(args):
         A = rand_form(rng.randint(1, 3))
         B = rand_form(rng.randint(1, 3))
         C = rand_form(rng.randint(0, 2))
-        assert form_mul(form_mul(A, B), C) == form_mul(A, form_mul(B, C))
+        if form_mul(form_mul(A, B), C) != form_mul(A, form_mul(B, C)):
+            raise ThetaCalcError("selftest: form_mul is not associative (seed %d)"
+                                 % args.seed)
         G, R = form_divrem(form_mul(A, B), B)
-        assert form_mul(G, B) + R == form_mul(A, B)
+        if form_mul(G, B) + R != form_mul(A, B):
+            raise ThetaCalcError("selftest: form_divrem does not reconstruct (seed %d)"
+                                 % args.seed)
         checks += 2
     _emit(args, {"ok": True, "checks": checks, "seed": args.seed},
           ["selftest ok (%d checks, seed %d)" % (checks, args.seed)])

@@ -114,9 +114,6 @@ class DifferenceForm:
             raise ZeroDivisor("zero form has no leading coefficient")
         return self.coeffs[-1]
 
-    def is_constant_coeff(self) -> bool:
-        return all(c.is_constant() for c in self.coeffs)
-
     def constant_coeff_vector(self):
         """Low-to-high Fractions, valid only for constant-coefficient forms."""
         return [c.as_constant() for c in self.coeffs]

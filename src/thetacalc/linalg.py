@@ -64,8 +64,8 @@ def nullspace(rows, ncols=None):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        vec = [_zero_like(rows, fc, ncols) for _ in range(ncols)]
-        vec[fc] = _one_from(rows, ncols)
+        vec = [_zero_like(rows) for _ in range(ncols)]
+        vec[fc] = _one_from(rows)
         for ri, pc in enumerate(pivots):
             vec[pc] = -red[ri][fc]
         # normalize first nonzero entry to 1
@@ -74,15 +74,15 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def _zero_like(rows, c, ncols):
+def _zero_like(rows):
     for r in rows:
         for v in r:
             return v - v
     return Fraction(0)
 
 
-def _one_from(rows, ncols):
-    z = _zero_like(rows, 0, ncols)
+def _one_from(rows):
+    z = _zero_like(rows)
     if isinstance(z, Fraction):
         return Fraction(1)
     # exact types used here expose .one()
@@ -98,7 +98,7 @@ def solve(rows, rhs):
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
-    sol = [_zero_like(rows, 0, ncols) for _ in range(ncols)]
+    sol = [_zero_like(rows) for _ in range(ncols)]
     for ri, pc in enumerate(pivots):
         sol[pc] = red[ri][ncols]
     return sol
@@ -182,10 +182,3 @@ def mat_identity(n, one=Fraction(1)):
     zero = one - one
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[c * v for v in row] for row in a]

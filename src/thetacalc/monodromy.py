@@ -5,13 +5,13 @@ t = log(x - x1)/(2*pi*i).  Completing one closed tour multiplies such a term
 by lam = e^(2*pi*i*rho) * m and replaces t by t+1, so the pair (rho, m)
 carries the monodromy multiplier: rho is the exact rational phase of lam
 (Re of the exponent, kept in [0, 1)) and m = |lam|.  Multipliers stay exact
-whenever lam is rational (phase 0 or 1/2) or a root of unity of small order,
-which covers every exact claim made by the tests; everything else takes the
-complex floating path with an explicit tolerance.
+whenever lam is rational (phase 0 or 1/2) or a root of unity; everything
+else takes the complex floating path with an explicit tolerance.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,8 +36,7 @@ def _unit(rho: Fraction):
         return Q(-1)
     if d == 4:
         return 1j if rho.numerator % 4 == 1 else -1j
-    z = cmath.exp(2j * math.pi * float(rho))
-    return z
+    return cmath.exp(2j * math.pi * float(rho))
 
 
 def _cmul(a, b):
@@ -325,66 +324,85 @@ def _as_spec(M) -> MonodromySpec:
 
 
 def charpoly(M) -> Polynomial:
-    """Characteristic polynomial det(z I - M), exact (Faddeev-LeVerrier)."""
+    """det(z I - M); exact: the product of the relations of e_1, e_2, ...
+    on one shared Krylov basis."""
     spec = _as_spec(M)
     if spec.mode != "exact":
         return _numeric_charpoly(spec)
-    A = spec.rational_rows()
-    n = spec.n
-    coeffs = [Q(1)]  # highest first
-    Mk = [row[:] for row in A]
-    for k in range(1, n + 1):
-        ck = -_trace(Mk) / k
-        coeffs.append(ck)
-        if k < n:
-            Mk = linalg.mat_mul(A, _mat_add_scalar(Mk, ck))
-    return Polynomial(list(reversed(coeffs)))
+    A, basis, cp = spec.rational_rows(), [], Polynomial.one()
+    for e in linalg.mat_identity(spec.n):
+        if len(basis) == spec.n:
+            break
+        cp = cp * _krylov(A, e, basis)
+    return cp
+
+
+def minimal_polynomial(M) -> Polynomial:
+    """Monic minimal polynomial: exact, the lcm of the relations of e_1, e_2, ...
+
+    The relation of w = m(A)e is that of e divided by its gcd with m, so
+    m * relation(w) is the lcm of m and the relation of e; no gcd is taken.
+    """
+    spec = _as_spec(M)
+    if spec.mode != "exact":
+        return _numeric_minpoly(spec)
+    A, m = spec.rational_rows(), Polynomial.one()
+    for e in linalg.mat_identity(spec.n):
+        if m.degree == spec.n:
+            break
+        w = _poly_at(m, A, e)
+        if any(w):
+            m = m * _krylov(A, w, [])
+    return m
+
+
+def _krylov(A, v, basis) -> Polynomial:
+    """Monic p of least degree with p(A)v in the span of basis.
+
+    basis is a list of (pivot, row) pairs, each row 1 at its pivot and 0 at
+    the pivots before it, spanning an A-invariant subspace.  The chain v,
+    Av, A^2 v, ... is reduced against it, and the chain's new rows are
+    appended, so the span stays A-invariant.
+    """
+    old = len(basis)
+    relations = []  # basis[old + j] = relations[j](A) v modulo the old span
+    w, q = list(v), [Q(1)]
+    while True:
+        for i, (piv, row) in enumerate(basis):
+            c = w[piv]
+            if c:
+                w = [a - c * b for a, b in zip(w, row)]
+                if i >= old:
+                    r = relations[i - old]
+                    q = [a - c * r[k] if k < len(r) else a for k, a in enumerate(q)]
+        piv = next((k for k, a in enumerate(w) if a), None)
+        if piv is None:
+            return Polynomial(q).monic()
+        lead = w[piv]
+        w = [a / lead for a in w]
+        q = [a / lead for a in q]
+        basis.append((piv, w))
+        relations.append(q)
+        w, q = _matvec(A, w), [Q(0)] + q
+
+
+def _matvec(A, v):
+    return [sum((a * b for a, b in zip(row, v) if b), Q(0)) for row in A]
+
+
+def _poly_at(p: Polynomial, A, v):
+    """p(A) v by Horner's rule."""
+    w = [Q(0)] * len(v)
+    for c in reversed(p.coeffs):
+        w = [a + c * b for a, b in zip(_matvec(A, w), v)]
+    return w
 
 
 def _numeric_charpoly(spec: MonodromySpec) -> Polynomial:
     import numpy as np
     arr = np.array([[complex(v) for v in row] for row in spec.matrix])
-    cs = np.poly(arr)  # highest first
-    out = []
-    for c in cs:
-        if abs(c.imag) > spec.tolerance:
-            raise EigenfailNumeric("complex characteristic coefficient %r" % c)
-        out.append(Fraction(c.real).limit_denominator(10 ** 9))
-    return Polynomial(list(reversed(out)))
-
-
-def _trace(rows):
-    acc = rows[0][0]
-    for i in range(1, len(rows)):
-        acc = acc + rows[i][i]
-    return acc
-
-
-def _mat_add_scalar(rows, c):
-    out = [row[:] for row in rows]
-    for i in range(len(out)):
-        out[i][i] = out[i][i] + c
-    return out
-
-
-def minimal_polynomial(M) -> Polynomial:
-    """Monic minimal polynomial via exact linear algebra on matrix powers."""
-    spec = _as_spec(M)
-    if spec.mode != "exact":
-        return _numeric_minpoly(spec)
-    A = spec.rational_rows()
-    n = spec.n
-    powers = [linalg.mat_identity(n)]
-    for _ in range(n):
-        powers.append(linalg.mat_mul(powers[-1], A))
-    vecs = [_vec(P) for P in powers]
-    for d in range(1, n + 1):
-        rows = [[vecs[k][i] for k in range(d)] for i in range(n * n)]
-        rhs = [-vecs[d][i] for i in range(n * n)]
-        sol = linalg.solve(rows, rhs)
-        if sol is not None:
-            return Polynomial(list(sol) + [Q(1)])
-    raise AssertionError("minimal polynomial must exist by Cayley-Hamilton")
+    cs = _snap_real(np.poly(arr), spec.tolerance, "characteristic")  # highest first
+    return Polynomial(list(reversed(cs)))
 
 
 def _numeric_minpoly(spec: MonodromySpec) -> Polynomial:
@@ -401,17 +419,19 @@ def _numeric_minpoly(spec: MonodromySpec) -> Polynomial:
         sol = np.linalg.lstsq(Amat, b, rcond=None)[0]
         resid = np.linalg.norm(Amat @ sol - b)
         if resid <= spec.tolerance * max(1.0, np.linalg.norm(b)):
-            out = []
-            for c in sol:
-                if abs(c.imag) > spec.tolerance:
-                    raise EigenfailNumeric("complex minimal-polynomial coefficient")
-                out.append(Fraction(c.real).limit_denominator(10 ** 9))
-            return Polynomial(out + [Q(1)])
+            return Polynomial(_snap_real(sol, spec.tolerance, "minimal-polynomial")
+                              + [Q(1)])
     raise EigenfailNumeric("no minimal polynomial within tolerance %g" % spec.tolerance)
 
 
-def _vec(rows):
-    return [v for row in rows for v in row]
+def _snap_real(values, tol: float, what: str) -> List[Fraction]:
+    """Real parts snapped to denominators <= 10^9; imaginary parts must be <= tol."""
+    out = []
+    for c in values:
+        if abs(c.imag) > tol:
+            raise EigenfailNumeric("complex %s coefficient %s" % (what, c))
+        out.append(Fraction(c.real).limit_denominator(10 ** 9))
+    return out
 
 
 def companion_difference_equation(M) -> DifferenceForm:
@@ -452,14 +472,8 @@ class LocalBlock:
 class LocalStructure:
     blocks: Tuple[LocalBlock, ...]
 
-    @property
-    def dimension(self) -> int:
-        return sum(sum(b.jordan_sizes) for b in self.blocks)
 
-
-_MAX_CYCLOTOMIC_ORDER = 64
-
-
+@functools.lru_cache(maxsize=None)
 def _cyclotomic(d: int) -> Polynomial:
     num = Polynomial([-1] + [0] * (d - 1) + [1])  # x^d - 1
     for e in range(1, d):
@@ -471,9 +485,9 @@ def _cyclotomic(d: int) -> Polynomial:
 def local_structure(M) -> LocalStructure:
     """Eigenvalues with exponents and Jordan sizes.
 
-    Exact mode handles rational eigenvalues and roots of unity of order up
-    to 64 (charpoly must factor into rational-root and cyclotomic parts);
-    numeric mode clusters eigenvalues at the spec tolerance.
+    Exact mode handles rational eigenvalues and roots of unity (charpoly
+    must factor into rational-root and cyclotomic parts); numeric mode
+    clusters eigenvalues at the spec tolerance.
     """
     spec = _as_spec(M)
     if spec.mode == "exact":
@@ -491,77 +505,59 @@ def _jordan_sizes_from_nullities(nullities) -> Tuple[int, ...]:
     return tuple(sorted(sizes, reverse=True))
 
 
+def _jordan_sizes(A, q: Polynomial, mult: int) -> Tuple[int, ...]:
+    """Jordan sizes of each root of the irreducible factor q^mult of charpoly(A),
+    from dim ker q(A)^k = deg q * sum_j min(k, size_j)."""
+    if mult == 1:
+        return (1,)
+    n = len(A)
+    qA_t = [_poly_at(q, A, e) for e in linalg.mat_identity(n)]  # q(A) transposed
+    nullities, P = [0], linalg.mat_identity(n)
+    while nullities[-1] < mult:
+        P = linalg.mat_mul(P, qA_t)
+        nullities.append((n - linalg.rank(P)) // q.degree)
+    return _jordan_sizes_from_nullities(nullities)
+
+
 def _local_structure_exact(spec: MonodromySpec) -> LocalStructure:
     A = spec.rational_rows()
-    n = spec.n
-    cp = charpoly(spec)
-    roots, rest = rational_roots(cp)
+    roots, rest = rational_roots(charpoly(spec))
     blocks: List[LocalBlock] = []
     for lam, mult in roots:
         if lam == 0:
             raise ZeroDivisor("monodromy matrix must be invertible (eigenvalue 0)")
-        N = linalg.mat_sub(A, linalg.mat_scale(linalg.mat_identity(n), lam))
-        nullities = [0]
-        P = linalg.mat_identity(n)
-        while nullities[-1] < mult:
-            P = linalg.mat_mul(P, N)
-            nullities.append(n - linalg.rank(P))
-        sizes = _jordan_sizes_from_nullities(nullities)
-        rho = Q(0) if lam > 0 else Q(1, 2)
-        blocks.append(LocalBlock(eigenvalue=lam, rho=rho, mag=abs(lam),
-                                 jordan_sizes=sizes))
+        sizes = _jordan_sizes(A, Polynomial([-lam, 1]), mult)
+        blocks.append(LocalBlock(eigenvalue=lam, rho=Q(0) if lam > 0 else Q(1, 2),
+                                 mag=abs(lam), jordan_sizes=sizes))
     if rest.degree > 0:
-        blocks.extend(_cyclotomic_blocks(spec, rest))
+        blocks.extend(_cyclotomic_blocks(A, rest))
     return LocalStructure(blocks=tuple(blocks))
 
 
-def _cyclotomic_blocks(spec: MonodromySpec, rest: Polynomial) -> List[LocalBlock]:
-    A = spec.rational_rows()
-    n = spec.n
+def _cyclotomic_blocks(A, rest: Polynomial) -> List[LocalBlock]:
     work = rest.monic()
     blocks: List[LocalBlock] = []
-    for d in range(3, _MAX_CYCLOTOMIC_ORDER + 1):
-        phi_d = _cyclotomic(d)
-        power = 0
-        while work.degree >= phi_d.degree:
+    d = 3
+    # phi(d) >= sqrt(d/2), so no Phi_d with d > 2*deg^2 divides work
+    while d <= 2 * work.degree ** 2:
+        units = [j for j in range(1, d) if math.gcd(j, d) == 1]
+        if len(units) <= work.degree:
+            phi_d, power = _cyclotomic(d), 0
             q, r = work.divmod(phi_d)
-            if r.is_zero():
-                work = q
-                power += 1
-            else:
-                break
-        if power == 0:
-            continue
-        # evaluate Phi_d at M once, then read Jordan data from its powers
-        PhiM = _poly_at_matrix(phi_d, A)
-        euler = phi_d.degree
-        nullities = [0]
-        P = linalg.mat_identity(n)
-        while nullities[-1] < power * euler:
-            P = linalg.mat_mul(P, PhiM)
-            nullities.append(n - linalg.rank(P))
-        scaled = [v // euler for v in nullities]
-        sizes = _jordan_sizes_from_nullities(scaled)
-        for j in range(1, d):
-            if math.gcd(j, d) == 1:
-                lam = cmath.exp(2j * math.pi * j / d)
-                blocks.append(LocalBlock(eigenvalue=lam, rho=Q(j, d), mag=Q(1),
-                                         jordan_sizes=sizes))
-        if work.degree == 0:
-            break
+            while r.is_zero():
+                work, power = q, power + 1
+                q, r = work.divmod(phi_d)
+            if power:
+                sizes = _jordan_sizes(A, phi_d, power)
+                blocks.extend(LocalBlock(eigenvalue=cmath.exp(2j * math.pi * j / d),
+                                         rho=Q(j, d), mag=Q(1), jordan_sizes=sizes)
+                              for j in units)
+        d += 1
     if work.degree > 0:
         raise NoExactRoots(
             "characteristic factor %s is neither rational nor cyclotomic; "
             "use numeric mode" % (work,))
     return blocks
-
-
-def _poly_at_matrix(p: Polynomial, A):
-    n = len(A)
-    acc = linalg.mat_scale(linalg.mat_identity(n), Q(0))
-    for c in reversed(p.coeffs):
-        acc = _mat_add_scalar(linalg.mat_mul(acc, A), c)
-    return acc
 
 
 def _local_structure_numeric(spec: MonodromySpec) -> LocalStructure:

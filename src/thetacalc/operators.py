@@ -109,10 +109,6 @@ class TruncatedOperator:
         return cls.from_monomial_action(N, action, "diffop")
 
     # -- queries ------------------------------------------------------------
-    @property
-    def degree_growth(self) -> int:
-        return self.N - self.valid_degree
-
     def column_poly(self, j: int) -> Polynomial:
         return Polynomial([self.matrix[i][j] for i in range(self.N + 1)])
 

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from thetacalc import linalg
 from thetacalc.exact import BivariatePolynomial, Polynomial, RationalFunction
 
 
@@ -90,6 +91,40 @@ def _perm_sign(perm) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def faddeev_charpoly(rows) -> Polynomial:
+    """Faddeev-LeVerrier: det(zI - A) from the traces of n matrix products.
+
+    The O(n^4) oracle for monodromy.charpoly.
+    """
+    n = len(rows)
+    coeffs = [Fraction(1)]  # highest first
+    Mk = [list(r) for r in rows]
+    for k in range(1, n + 1):
+        ck = -sum(Mk[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k < n:
+            shifted = [[v + ck if i == j else v for j, v in enumerate(r)]
+                       for i, r in enumerate(Mk)]
+            Mk = linalg.mat_mul(rows, shifted)
+    return Polynomial(list(reversed(coeffs)))
+
+
+def power_stacking_minpoly(rows) -> Polynomial:
+    """Least d with A^d in the span of I, A, ..., A^(d-1), one n^2 x d solve
+    per d: the O(n^5) oracle for monodromy.minimal_polynomial."""
+    n = len(rows)
+    powers = [linalg.mat_identity(n)]
+    for _ in range(n):
+        powers.append(linalg.mat_mul(powers[-1], rows))
+    vecs = [[v for r in P for v in r] for P in powers]
+    for d in range(1, n + 1):
+        system = [[vecs[k][i] for k in range(d)] for i in range(n * n)]
+        sol = linalg.solve(system, [-vecs[d][i] for i in range(n * n)])
+        if sol is not None:
+            return Polynomial(list(sol) + [1])
+    raise ValueError("no relation of degree <= n: not a square matrix")
 
 
 @pytest.fixture

@@ -364,3 +364,26 @@ class TestCliContract:
         assert code == 0
         doc = json.loads(out)
         assert doc["ok"] is True and doc["seed"] == 7
+
+    def test_selftest_fails_on_a_broken_identity(self, monkeypatch):
+        import thetacalc.cli as cli
+        real = cli.form_mul
+        monkeypatch.setattr(cli, "form_mul", lambda a, b: real(a, b) + a)
+        code, out, err = run_cli("--seed", "7", "selftest", "--rounds", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: selftest: form_mul is not associative (seed 7)\n"
+
+    def test_selftest_checks_under_python_optimize(self):
+        import os
+        import subprocess
+        import thetacalc
+        script = ("import sys, thetacalc.cli as cli\n"
+                  "real = cli.form_mul\n"
+                  "cli.form_mul = lambda a, b: real(a, b) + a\n"
+                  "sys.exit(cli.main(['selftest', '--rounds', '2']))\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(thetacalc.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "form_mul is not associative" in proc.stderr

@@ -1,15 +1,21 @@
 """Local monodromy machinery: companions, structures, theta determinants."""
 import cmath
+import io
+import json
 import math
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 
 import pytest
 
-from thetacalc.errors import InconsistentMultiplier
+from thetacalc.cli import main
+from thetacalc.errors import (EigenfailNumeric, InconsistentMultiplier,
+                              NoExactRoots)
 from thetacalc.exact import Polynomial
 from thetacalc.forms import DifferenceForm
 from thetacalc.monodromy import (FormalLocalSolution, MonodromySpec,
+                                 _cyclotomic,
                                  canonical_fundamental_system,
                                  canonical_system_with_action, charpoly,
                                  companion_difference_equation,
@@ -17,7 +23,8 @@ from thetacalc.monodromy import (FormalLocalSolution, MonodromySpec,
                                  minimal_relation, theta_determinant,
                                  theta_on_local)
 
-from conftest import leibniz_det, rand_matrix
+from conftest import (faddeev_charpoly, leibniz_det, power_stacking_minpoly,
+                      rand_matrix)
 
 mono = FormalLocalSolution.monomial
 
@@ -383,3 +390,136 @@ class TestThetaDeterminantEngine:
                 det = theta_determinant(sols)
                 assert all(isinstance(c, Q) for c in det.terms.values())
                 assert det == leibniz_det(rows)
+
+
+def _companion(p):
+    """Companion matrix of the monic polynomial p."""
+    n = p.degree
+    return [[Q(1) if i == j + 1 else Q(0) for j in range(n - 1)] + [-p.coeff(i)]
+            for i in range(n)]
+
+
+def _conjugate(rng, B):
+    """U B U^-1 for a random unimodular U (row op with its inverse column op)."""
+    M = [list(r) for r in B]
+    n = len(M)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = Q(rng.choice([-2, -1, 1, 2]))
+        M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+        for row in M:
+            row[j] -= c * row[i]
+    return M
+
+
+def _derogatory(rng, n):
+    """A conjugated block-diagonal matrix with a repeated block, so that its
+    minimal polynomial is a proper divisor of its charpoly."""
+    k = rng.randint(1, min(3, n // 2))
+    block = [[Q(rng.randint(-3, 3), rng.choice([1, 2])) for _ in range(k)]
+             for _ in range(k)]
+    blocks = [block] * (n // k)
+    if n % k:
+        blocks.append([[Q(rng.randint(-3, 3))] * (n % k) for _ in range(n % k)])
+    B, off = [[Q(0)] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            B[off + i][off:off + len(row)] = row
+        off += len(b)
+    return _conjugate(rng, B)
+
+
+class TestMatrixInvariantsEngine:
+    """The Krylov charpoly and minimal polynomial against the O(n^4)/O(n^5)
+    oracles in conftest, and the cyclotomic search without an order cap."""
+
+    def test_charpoly_matches_faddeev(self):
+        rng = random.Random(41)
+        for n in range(1, 13):
+            M = [[Q(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+                 for _ in range(n)]
+            assert charpoly(MonodromySpec(M)) == faddeev_charpoly(M)
+
+    def test_derogatory_charpoly_and_minpoly(self):
+        rng = random.Random(42)
+        for n in range(2, 13):
+            M = _derogatory(rng, n)
+            mp = minimal_polynomial(MonodromySpec(M))
+            assert mp.degree < n
+            assert mp == power_stacking_minpoly(M)
+            assert charpoly(MonodromySpec(M)) == faddeev_charpoly(M)
+
+    def test_random_minpoly_matches_power_stacking(self):
+        rng = random.Random(43)
+        for n in range(1, 10):
+            M = rand_matrix(rng, n, 2)
+            if n > 2 and rng.random() < 0.5:
+                M[-1] = list(M[0])  # singular, often with a repeated zero root
+            assert minimal_polynomial(MonodromySpec(M)) == power_stacking_minpoly(M)
+
+    def test_scalar_and_empty_matrices(self):
+        two = [[Q(2) if i == j else Q(0) for j in range(4)] for i in range(4)]
+        assert minimal_polynomial(MonodromySpec(two)) == Polynomial([-2, 1])
+        assert charpoly(MonodromySpec(two)) == Polynomial([-2, 1]) ** 4
+        assert charpoly(MonodromySpec([])) == Polynomial.one()
+        assert minimal_polynomial(MonodromySpec([])) == Polynomial.one()
+
+    @pytest.mark.parametrize("d", [66, 70])
+    def test_cyclotomic_order_above_64_gives_exact_blocks(self, d):
+        st = local_structure(MonodromySpec(_companion(_cyclotomic(d))))
+        units = [j for j in range(1, d) if math.gcd(j, d) == 1]
+        assert [b.rho for b in st.blocks] == [Q(j, d) for j in units]
+        assert all(b.jordan_sizes == (1,) and b.mag == 1 for b in st.blocks)
+        for b in st.blocks:
+            assert abs(b.eigenvalue - cmath.exp(2j * math.pi * b.rho)) < 1e-12
+
+    def test_cyclotomic_order_above_64_through_the_cli(self):
+        rows = [[str(v) for v in r] for r in _companion(_cyclotomic(66))]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["--json", "local-structure", "--matrix", json.dumps(rows)])
+        assert (code, err.getvalue()) == (0, "")
+        blocks = json.loads(out.getvalue())
+        assert [b["rho"] for b in blocks][:3] == ["1/66", "5/66", "7/66"]
+        assert len(blocks) == 20 and all(b["jordan_sizes"] == [1] for b in blocks)
+
+    def test_repeated_cyclotomic_factor_gives_jordan_blocks(self):
+        rng = random.Random(44)
+        M = _conjugate(rng, _companion(_cyclotomic(9) ** 2))
+        st = local_structure(MonodromySpec(M))
+        assert [b.rho for b in st.blocks] == [Q(j, 9) for j in (1, 2, 4, 5, 7, 8)]
+        assert all(b.jordan_sizes == (2,) for b in st.blocks)
+
+    def test_non_cyclotomic_factor_message_unchanged(self):
+        with pytest.raises(NoExactRoots) as info:
+            local_structure(MonodromySpec(_companion(Polynomial([-2, 0, 1]))))
+        assert str(info.value) == ("characteristic factor x^2 - 2 is neither "
+                                   "rational nor cyclotomic; use numeric mode")
+
+    def test_complex_numeric_coefficient_names_its_value(self):
+        spec = MonodromySpec([[1j, 0], [0, 1j]])
+        for fn, what in ((charpoly, "characteristic"),
+                         (minimal_polynomial, "minimal-polynomial")):
+            with pytest.raises(EigenfailNumeric) as info:
+                fn(spec)
+            text = str(info.value)
+            assert text.startswith("complex %s coefficient " % what)
+            assert abs(complex(text.rsplit(" ", 1)[1]).imag) > 0.99
+
+    def test_charpoly_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(45)
+        for n in range(1, 9):
+            M = [[Q(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in range(n)]
+                 for _ in range(n)]
+            want = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator)
+                                       for r in M for v in r]).charpoly().all_coeffs()
+            got = charpoly(MonodromySpec(M)).coeffs
+            assert [Q(int(c.p), int(c.q)) for c in reversed(want)] == list(got)
+
+    def test_cyclotomic_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for d in range(1, 201):
+            want = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()
+            assert [int(c) for c in reversed(want)] == list(_cyclotomic(d).coeffs)
